@@ -418,7 +418,7 @@ func (p *Platform) InvokeSpan(parent *telemetry.Span, n int, handler func(*Ctx))
 		p.meter.Add("fn:invoke", book.FnInvocation)
 		p.invocations.Inc()
 		p.regInvocations.Inc()
-		p.clock.GoCall(func() {
+		p.clock.Go(func() {
 			launched := p.clock.Now()
 			inst, cold := p.acquire()
 			acquired := p.clock.Now()

@@ -380,11 +380,11 @@ func (s *Store) emitLocked(b *bucket, ev Event) {
 			fn(ev)
 		}
 	}
-	s.clock.DelayCall(simclock.Seconds(delay)+v.Extra, deliver)
+	s.clock.Delay(simclock.Seconds(delay)+v.Extra, deliver)
 	if v.Duplicate {
 		s.notifyDuped.Inc()
 		s.regNotifyDup.Inc()
-		s.clock.DelayCall(simclock.Seconds(delay)+v.Extra+v.DupExtra, deliver)
+		s.clock.Delay(simclock.Seconds(delay)+v.Extra+v.DupExtra, deliver)
 	}
 }
 

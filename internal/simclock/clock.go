@@ -38,51 +38,52 @@ import (
 type Clock struct {
 	mu        sync.Mutex
 	now       time.Time
-	running   bool // one tracked actor currently holds the run token
-	ready     []readyEnt
+	running   bool   // one tracked actor currently holds the run token
+	cur       *actor // the actor granted the token last
+	ready     []*actor
 	readyHead int // ready[:readyHead] already granted; pop-front without shifting
 	blocked   int // tracked actors blocked on events (not timers)
 	timers    timerHeap
 	seq       uint64
-	idlers    []chan struct{} // Quiesce waiters
+	idlers    []*actor // Quiesce waiters
 	stats     Stats
 
-	// workers parks idle pooled actors for GoCall; wakeChs recycles wake
-	// channels. Both exist because event-dense simulations (a million
-	// replay operations, each a short-lived actor with a handful of sleeps)
-	// otherwise spend their wall clock on goroutine spawns and channel
-	// allocations. Parked workers and pooled channels are invisible to the
-	// accounting above; the pool is drained whenever the simulation fully
-	// quiesces so idle clocks hold no goroutines.
-	workers []*worker
-	wakeChs []chan struct{}
+	// parked holds finished actors for Go to reuse, because event-dense
+	// simulations (a million replay operations, each a short-lived actor
+	// with a handful of sleeps) otherwise spend their wall clock on
+	// goroutine spawns. Parked actors are invisible to the accounting
+	// above; the pool is drained whenever the simulation fully quiesces so
+	// idle clocks hold no goroutines.
+	parked []*actor
 }
 
-// readyEnt is one queued turn: either an actor parked on its wake channel
-// (Sleep, Event.Wait, Quiesce, a Go start) or a pooled worker waiting to
-// be handed a function.
-type readyEnt struct {
-	ch chan struct{} // actor to grant the run token
-	w  *worker       // pooled worker to hand fn
-	fn func()
+// actor is one tracked goroutine. It owns a buffered wake channel for its
+// whole life: every grant of the run token is one send on it. A parked
+// actor only ever receives start grants (fn set) and a busy one only
+// resume grants, so the one channel carries both.
+type actor struct {
+	wake chan struct{}
+	fn   func()
 }
 
-// maxWorkers bounds the parked-actor pool; beyond it workers exit instead
-// of parking. It caps idle memory, not concurrency — GoCall spawns fresh
-// workers whenever the pool runs dry.
-const maxWorkers = 256
+func newActor() *actor { return &actor{wake: make(chan struct{}, 1)} }
+
+// maxParked bounds the parked-actor pool; beyond it finished actors exit
+// instead of parking. It caps idle memory, not concurrency — Go starts
+// fresh actors whenever the pool runs dry.
+const maxParked = 256
 
 // Stats reports counters about clock activity, useful in tests.
 type Stats struct {
 	Sleeps   uint64 // number of Sleep calls with positive duration
 	Advances uint64 // number of times virtual time moved forward
-	Spawned  uint64 // number of goroutines started via Go
+	Spawned  uint64 // number of actors started via Go
 }
 
 // New returns a virtual clock whose time starts at start. The calling
-// goroutine is tracked as the first actor and holds the run token.
+// goroutine is tracked as the first (root) actor and holds the run token.
 func New(start time.Time) *Clock {
-	return &Clock{now: start, running: true}
+	return &Clock{now: start, running: true, cur: newActor()}
 }
 
 // Now returns the current virtual time.
@@ -104,27 +105,6 @@ func (c *Clock) Stats() Stats {
 	return c.stats
 }
 
-// getWakeLocked returns a pooled buffered wake channel.
-func (c *Clock) getWakeLocked() chan struct{} {
-	if n := len(c.wakeChs); n > 0 {
-		ch := c.wakeChs[n-1]
-		c.wakeChs = c.wakeChs[:n-1]
-		return ch
-	}
-	return make(chan struct{}, 1)
-}
-
-// putWake recycles a drained wake channel. The grant was a buffered send,
-// not a close, so the channel is clean for reuse; no other goroutine holds
-// a reference once the waiter has woken.
-func (c *Clock) putWake(ch chan struct{}) {
-	c.mu.Lock()
-	if len(c.wakeChs) < maxWorkers {
-		c.wakeChs = append(c.wakeChs, ch)
-	}
-	c.mu.Unlock()
-}
-
 // Sleep blocks the calling actor for d of virtual time. A non-positive d
 // returns immediately without yielding.
 func (c *Clock) Sleep(d time.Duration) {
@@ -132,36 +112,48 @@ func (c *Clock) Sleep(d time.Duration) {
 		return
 	}
 	c.mu.Lock()
-	ch := c.getWakeLocked()
+	a := c.cur
 	c.stats.Sleeps++
 	c.seq++
-	heap.Push(&c.timers, &timer{at: c.now.Add(d), seq: c.seq, ch: ch})
+	heap.Push(&c.timers, &timer{at: c.now.Add(d), seq: c.seq, a: a})
 	c.yieldLocked()
 	c.mu.Unlock()
-	<-ch
-	c.putWake(ch)
+	<-a.wake
 }
 
-// Go starts fn as a tracked actor. fn may freely call Sleep and wait on
-// events; the actor is untracked automatically when fn returns. The new
-// actor joins the back of the ready queue — it first runs when the
-// actors ahead of it have had their turns.
+// Go starts fn as a tracked actor, reusing a parked one when it can. fn
+// may freely call Sleep and wait on events; the actor is untracked
+// automatically when fn returns. The new actor joins the back of the
+// ready queue — it first runs when the actors ahead of it have had their
+// turns.
 func (c *Clock) Go(fn func()) {
 	c.mu.Lock()
 	c.stats.Spawned++
-	start := c.getWakeLocked()
-	c.ready = append(c.ready, readyEnt{ch: start})
+	var a *actor
+	if n := len(c.parked); n > 0 {
+		a = c.parked[n-1]
+		c.parked[n-1] = nil
+		c.parked = c.parked[:n-1]
+	}
+	fresh := a == nil
+	if fresh {
+		a = newActor()
+	}
+	a.fn = fn
+	c.ready = append(c.ready, a)
 	if !c.running {
 		c.dispatchLocked()
 	}
 	c.mu.Unlock()
-	go func() {
-		<-start
-		c.putWake(start)
-		defer c.exit()
-		fn()
-	}()
+	if fresh {
+		go c.run(a)
+	}
 }
+
+// GoCall runs fn as a tracked actor.
+//
+// Deprecated: use Go.
+func (c *Clock) GoCall(fn func()) { c.Go(fn) }
 
 // Delay runs fn as a tracked actor after d of virtual time.
 func (c *Clock) Delay(d time.Duration, fn func()) {
@@ -171,69 +163,38 @@ func (c *Clock) Delay(d time.Duration, fn func()) {
 	})
 }
 
-// worker is one pooled actor goroutine. While parked (blocked receiving
-// on ch) it is untracked — invisible to the clock's accounting — and it
-// re-enters as a tracked actor when the dispatcher hands it a function.
-type worker struct {
-	c  *Clock
-	ch chan func()
-}
-
-func (w *worker) loop() {
-	for fn := range w.ch {
-		fn()
-		c := w.c
-		c.mu.Lock()
-		park := len(c.workers) < maxWorkers
-		if park {
-			c.workers = append(c.workers, w)
+// run is an actor goroutine's body: wait for a start grant, run its
+// function, then park for reuse or exit. A wake with no function is the
+// quiescence drain.
+func (c *Clock) run(a *actor) {
+	defer func() {
+		if a.fn != nil { // fn called runtime.Goexit (t.FailNow): release the token
+			c.mu.Lock()
+			c.yieldLocked()
+			c.mu.Unlock()
 		}
-		// Parking and the token release happen under the same lock, so a
-		// GoCall that grabs this worker next simply queues on the buffered
-		// channel until the loop comes back around.
+	}()
+	for {
+		<-a.wake
+		if a.fn == nil {
+			return
+		}
+		a.fn()
+		a.fn = nil
+		c.mu.Lock()
+		park := len(c.parked) < maxParked
+		if park {
+			c.parked = append(c.parked, a)
+		}
+		// Parking and the token release happen under the same lock, so a Go
+		// that takes this actor next simply queues on the buffered channel
+		// until the loop comes back around.
 		c.yieldLocked()
 		c.mu.Unlock()
 		if !park {
 			return
 		}
 	}
-}
-
-// GoCall runs fn as a tracked actor on a pooled goroutine: semantically
-// identical to Go, but per-call cost is a channel send instead of a
-// goroutine spawn. Event-dense hot paths (trace replay, notification
-// delivery, scheduler batch launches, function executions) route through
-// here; Go remains for long-lived or rarely spawned actors.
-func (c *Clock) GoCall(fn func()) {
-	c.mu.Lock()
-	c.stats.Spawned++
-	var w *worker
-	if n := len(c.workers); n > 0 {
-		w = c.workers[n-1]
-		c.workers[n-1] = nil
-		c.workers = c.workers[:n-1]
-	}
-	fresh := w == nil
-	if fresh {
-		w = &worker{c: c, ch: make(chan func(), 1)}
-	}
-	c.ready = append(c.ready, readyEnt{w: w, fn: fn})
-	if !c.running {
-		c.dispatchLocked()
-	}
-	c.mu.Unlock()
-	if fresh {
-		go w.loop()
-	}
-}
-
-// DelayCall runs fn as a pooled tracked actor after d of virtual time —
-// Delay on the GoCall pool.
-func (c *Clock) DelayCall(d time.Duration, fn func()) {
-	c.GoCall(func() {
-		c.Sleep(d)
-		fn()
-	})
 }
 
 // Quiesce blocks the calling actor until every other tracked actor has
@@ -245,18 +206,11 @@ func (c *Clock) Quiesce() {
 		c.mu.Unlock()
 		return
 	}
-	ch := c.getWakeLocked()
-	c.idlers = append(c.idlers, ch)
+	a := c.cur
+	c.idlers = append(c.idlers, a)
 	c.yieldLocked()
 	c.mu.Unlock()
-	<-ch
-	c.putWake(ch)
-}
-
-func (c *Clock) exit() {
-	c.mu.Lock()
-	c.yieldLocked()
-	c.mu.Unlock()
+	<-a.wake
 }
 
 // yieldLocked releases the run token and hands it to the next actor. The
@@ -268,48 +222,42 @@ func (c *Clock) yieldLocked() {
 }
 
 // popReadyLocked removes and returns the front of the ready queue.
-func (c *Clock) popReadyLocked() readyEnt {
-	e := c.ready[c.readyHead]
-	c.ready[c.readyHead] = readyEnt{}
+func (c *Clock) popReadyLocked() *actor {
+	a := c.ready[c.readyHead]
+	c.ready[c.readyHead] = nil
 	c.readyHead++
 	if c.readyHead == len(c.ready) {
 		c.ready = c.ready[:0]
 		c.readyHead = 0
 	} else if c.readyHead > 64 && c.readyHead*2 >= len(c.ready) {
 		n := copy(c.ready, c.ready[c.readyHead:])
-		for i := n; i < len(c.ready); i++ {
-			c.ready[i] = readyEnt{}
-		}
+		clear(c.ready[n:])
 		c.ready = c.ready[:n]
 		c.readyHead = 0
 	}
-	return e
+	return a
 }
 
 // dispatchLocked hands the run token to the next ready actor. With the
 // queue empty it advances virtual time to the next timer, or wakes
 // Quiesce waiters when the simulation is fully drained, or panics on
-// deadlock. Ready entries are granted strictly FIFO and due timers are
+// deadlock. Ready actors are granted strictly FIFO and due timers are
 // queued in creation order, so the schedule is a pure function of the
 // simulation — never of the Go runtime.
 func (c *Clock) dispatchLocked() {
 	for {
 		if len(c.ready) > c.readyHead {
-			e := c.popReadyLocked()
+			a := c.popReadyLocked()
 			c.running = true
-			if e.w != nil {
-				e.w.ch <- e.fn // buffered; the worker is parked on the receive
-			} else {
-				e.ch <- struct{}{} // buffered; the actor recycles the channel
-			}
+			c.cur = a
+			a.wake <- struct{}{} // buffered; the actor is parked on the receive
 			return
 		}
 		if c.timers.Len() > 0 {
 			c.stats.Advances++
 			c.now = c.timers[0].at
 			for c.timers.Len() > 0 && !c.timers[0].at.After(c.now) {
-				t := heap.Pop(&c.timers).(*timer)
-				c.ready = append(c.ready, readyEnt{ch: t.ch})
+				c.ready = append(c.ready, heap.Pop(&c.timers).(*timer).a)
 			}
 			continue
 		}
@@ -320,14 +268,12 @@ func (c *Clock) dispatchLocked() {
 		if len(c.idlers) > 0 {
 			// Fully drained (aside from event waiters that can only be woken by
 			// the idlers themselves): resume the Quiesce callers and release the
-			// parked worker pool, so a drained clock pins no goroutines.
-			for _, w := range c.workers {
-				close(w.ch)
+			// parked pool, so a drained clock pins no goroutines.
+			for _, a := range c.parked {
+				a.wake <- struct{}{} // no fn: the actor exits
 			}
-			c.workers = nil
-			for _, ch := range c.idlers {
-				c.ready = append(c.ready, readyEnt{ch: ch})
-			}
+			c.parked = nil
+			c.ready = append(c.ready, c.idlers...)
 			c.idlers = nil
 			continue
 		}
@@ -338,7 +284,7 @@ func (c *Clock) dispatchLocked() {
 type timer struct {
 	at  time.Time
 	seq uint64
-	ch  chan struct{}
+	a   *actor
 }
 
 // timerHeap orders timers by wake time, breaking ties by creation order so
