@@ -214,7 +214,7 @@ func TestNestedSpawns(t *testing.T) {
 func TestDeadlockPanics(t *testing.T) {
 	panicked := make(chan bool, 1)
 	// The clock is created inside a fresh goroutine so that goroutine is the
-	// tracked driver; the deadlock panic fires in whichever actor blocks last.
+	// driver; the deadlock panic surfaces on the driver's blocking call.
 	go func() {
 		defer func() { panicked <- recover() != nil }()
 		c := New(epoch)

@@ -23,12 +23,9 @@ func (e *Event) Wait() {
 		c.mu.Unlock()
 		return
 	}
-	a := c.cur
-	e.waiters = append(e.waiters, a)
+	e.waiters = append(e.waiters, c.cur)
 	c.blocked++
-	c.yieldLocked()
-	c.mu.Unlock()
-	<-a.wake
+	c.blockLocked()
 }
 
 // Triggered reports whether the event has been triggered.
@@ -47,11 +44,10 @@ func (e *Event) Trigger() {
 	if !e.done {
 		e.done = true
 		c.blocked -= len(e.waiters)
-		c.ready = append(c.ready, e.waiters...)
-		e.waiters = nil
-		if !c.running {
-			c.dispatchLocked()
+		for _, a := range e.waiters {
+			c.pushReadyLocked(a)
 		}
+		e.waiters = nil
 	}
 	c.mu.Unlock()
 }

@@ -72,3 +72,37 @@ func TestTurnOrderPinned(t *testing.T) {
 		t.Fatalf("turn order changed:\n got  %s\n want %s", got, exp)
 	}
 }
+
+// TestTurnStatsPinned replays TestTurnOrderPinned's scenario, without the
+// recording, and pins the clock's own counters for it. The 18 turns are
+// the nine spawned actors' first turns, five timer wake-ups (D, T1-T3 at
+// 1s, F at 2s), two event wake-ups (A, B) and the root's two (group,
+// quiesce). The ready-queue high-water of 6 is reached by the six actors
+// the root spawns before it first blocks.
+func TestTurnStatsPinned(t *testing.T) {
+	c := New(epoch)
+	ev := c.NewEvent()
+	g := c.NewGroup(3)
+	c.Go(func() {
+		c.Go(g.Done)
+		ev.Wait()
+		g.Done()
+	})
+	c.Go(func() {
+		ev.Wait()
+		g.Done()
+	})
+	c.Delay(time.Second, ev.Trigger)
+	for i := 0; i < 3; i++ {
+		c.Go(func() { c.Sleep(time.Second) })
+	}
+	g.Wait()
+	c.Go(func() {})
+	c.Delay(time.Second, func() {})
+	c.Quiesce()
+
+	want := Stats{Sleeps: 5, Advances: 2, Spawned: 9, Turns: 18, ReadyMax: 6}
+	if got := c.Stats(); got != want {
+		t.Fatalf("stats = %+v, want %+v", got, want)
+	}
+}

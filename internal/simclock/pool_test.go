@@ -66,7 +66,7 @@ func TestPoolOverflowAndSecondWave(t *testing.T) {
 	waitGoroutines(t, before)
 }
 
-// A reused actor parks on its own wake channel for Sleep and Event.Wait
+// A reused actor keeps its coroutine: it blocks in Sleep and Event.Wait
 // and wakes at the right virtual times.
 func TestPoolReusedActorSleepsAndWaits(t *testing.T) {
 	c := New(epoch)
@@ -91,17 +91,5 @@ func TestPoolReusedActorSleepsAndWaits(t *testing.T) {
 	c.Quiesce()
 	if slept != 3*time.Second || woke != 6*time.Second {
 		t.Fatalf("reused actor woke at %v and %v, want 3s and 6s", slept, woke)
-	}
-}
-
-// An actor that exits through runtime.Goexit (t.FailNow inside an actor)
-// still releases the run token, so the simulation runs on.
-func TestGoexitReleasesToken(t *testing.T) {
-	c := New(epoch)
-	c.Go(runtime.Goexit)
-	c.Delay(time.Second, func() {})
-	c.Quiesce()
-	if got := c.Since(epoch); got != time.Second {
-		t.Fatalf("quiesced at %v, want 1s", got)
 	}
 }
